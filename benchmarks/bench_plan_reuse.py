@@ -12,9 +12,12 @@ iteration):
    after the first spend **>= 2x less** modelled plan time — is asserted
    here from measured numbers and re-checked by
    ``tests/core/test_plan_reuse.py`` on every test run.
-2. **MS-BFS end-to-end** — ``msbfs_spmd`` with ``--reuse-plan on`` vs
-   ``off``: modelled runtime (exact, virtual clocks) and wall-clock must
-   both improve.
+2. **MS-BFS end-to-end** — the resident ``msbfs`` loop on one
+   :class:`~repro.core.TsSession` vs the same traversal through the
+   per-call ``ts_spgemm`` entry (re-scatter, ``Ac`` and prepare every
+   level).  Gates: bit-identical visited sets, zero ``prepare`` compute
+   on every resident level, and >= 2x less modelled plan time summed
+   over the traversal.  Wall-clock is reported, not gated.
 
 Results land in ``benchmarks/results/plan_reuse.txt``.
 """
@@ -24,11 +27,17 @@ import time
 import numpy as np
 
 from repro.analysis import fmt_seconds, print_table
-from repro.apps import msbfs_spmd
+from repro.apps import msbfs_on_session
 from repro.core import TsConfig, TsSession, ts_spgemm
-from repro.data import random_sources, rmat
+from repro.data import bfs_frontier, random_sources, rmat
 from repro.mpi import SCALED_PERLMUTTER
-from repro.sparse import BOOL_AND_OR, CsrMatrix, random_csr
+from repro.sparse import (
+    BOOL_AND_OR,
+    CsrMatrix,
+    ewise_add,
+    pattern_difference,
+    random_csr,
+)
 
 P = 8
 N, D = 2048, 32
@@ -109,36 +118,53 @@ def bench_plan_reuse(benchmark, sink):
         f"expected >= {MIN_SETUP_RATIO}x"
     )
 
-    # ---- MS-BFS end-to-end: --reuse-plan on vs off -------------------
-    adj = rmat(N, 8, seed=9)
+    # ---- MS-BFS end-to-end: resident loop vs per-call levels ---------
+    a_bfs = rmat(N, 8, seed=9).astype(np.bool_)
     sources = random_sources(N, D, seed=4)
-    results = {}
-    for label, reuse in (("on", True), ("off", False)):
-        cfg = TsConfig(reuse_plan=reuse)
-        best_wall, modelled = float("inf"), None
-        for _ in range(2):  # best-of-2 wall clock
-            t0 = time.perf_counter()
-            res = msbfs_spmd(adj, sources, P, config=cfg, machine=machine)
-            best_wall = min(best_wall, time.perf_counter() - t0)
-            modelled = res.total_runtime
-        results[label] = (modelled, best_wall, res.levels)
+    with TsSession(
+        a_bfs, P, semiring=BOOL_AND_OR, config=config, machine=machine
+    ) as bfs_session:
+        reports = []
+        t0 = time.perf_counter()
+        resident = msbfs_on_session(bfs_session, sources, reports=reports)
+        wall_resident = time.perf_counter() - t0
+    # The same Alg 3 recurrence, one fresh per-call job per level.
+    t0 = time.perf_counter()
+    frontier = visited = bfs_frontier(N, sources)
+    fresh_plan = fresh_runtime = 0.0
+    fresh_levels = 0
+    while frontier.nnz > 0:
+        level = ts_spgemm(
+            a_bfs, frontier, P, semiring=BOOL_AND_OR, config=config,
+            machine=machine,
+        )
+        fresh_plan += _plan_compute(level.report)
+        fresh_runtime += level.multiply_time
+        fresh_levels += 1
+        frontier = pattern_difference(level.C, visited)
+        visited = ewise_add(visited, level.C, BOOL_AND_OR)
+    wall_fresh = time.perf_counter() - t0
+    resident_plan = sum(_plan_compute(r) for r in reports)
     print_table(
-        f"msbfs_spmd end-to-end (rmat {N}, {D} sources, p={P}, "
-        f"{results['on'][2]} levels)",
-        ["--reuse-plan", "modelled runtime", "best wall-clock"],
+        f"MS-BFS end-to-end (rmat {N}, {D} sources, p={P}, "
+        f"{resident.levels} levels)",
+        ["path", "plan modelled", "modelled runtime", "wall-clock"],
         [
-            [label, fmt_seconds(m), fmt_seconds(w)]
-            for label, (m, w, _) in results.items()
+            ["resident msbfs", fmt_seconds(resident_plan),
+             fmt_seconds(resident.total_runtime), fmt_seconds(wall_resident)],
+            ["per-call levels", fmt_seconds(fresh_plan),
+             fmt_seconds(fresh_runtime), fmt_seconds(wall_fresh)],
         ],
         file=sink,
     )
-    on_m, on_w, _ = results["on"]
-    off_m, off_w, _ = results["off"]
-    assert on_m < off_m, (
-        f"modelled msbfs_spmd runtime did not improve: on={on_m} off={off_m}"
-    )
-    assert on_w < off_w * 1.05, (
-        f"wall msbfs_spmd did not improve: on={on_w:.3f}s off={off_w:.3f}s"
+    assert resident.visited.equal(visited)
+    assert resident.levels == fresh_levels == len(reports)
+    for report in reports:
+        for rs in report.rank_stats:
+            assert "prepare" not in rs.phases, "a resident level re-prepared"
+    assert resident_plan * MIN_SETUP_RATIO <= fresh_plan, (
+        f"resident MS-BFS plan time {resident_plan:.3e}s is not "
+        f">= {MIN_SETUP_RATIO}x below per-call levels ({fresh_plan:.3e}s)"
     )
 
     benchmark(lambda: session.multiply(bs[-1]))

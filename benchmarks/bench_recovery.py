@@ -8,7 +8,7 @@ on a cora-sized embedding run and a mid-sized session:
    **bit-identical** result at (wall-clock) parity with a plain session:
    the replica traffic rides the existing collectives and the per-epoch
    snapshot is values-only, so the gate enforces "within a 10% jitter
-   margin", matching ``bench_resident_embedding.py``.
+   margin".
 2. **Recovery cost vs full re-prepare** — when a rank crashes, the ring
    replica restores exactly one rank's blocks.  The gates pin the
    traffic economics: the recovery blob is strictly smaller than the
@@ -34,9 +34,8 @@ P = 4
 D = 32
 SPARSITY = 0.8
 EPOCHS = 6
-# Same reasoning as bench_resident_embedding.py: checkpoint work is a
-# few percent of a multiply-dominated total; CI load jitter isn't a
-# regression signal below 10%.
+# Checkpoint work is a few percent of a multiply-dominated total; CI
+# load jitter isn't a regression signal below 10%.
 MAX_WALL_RATIO = 1.10
 
 # Session-level workload for the recovery-economics gates.

@@ -25,10 +25,7 @@ computed on the row owners and flow into the resident operand through a
 values-only ``Ac`` strip exchange), the TS-SpGEMM, and the fused
 rank-local SGD + top-k re-sparsification epilogue.  Per-epoch driver
 traffic is exactly **zero**; the embedding is gathered once after the
-last epoch.  ``driver_gather=True`` is the ablation: the historical loop
-that round-trips ``Z`` and the gradient through the driver every epoch
-(now honestly charged as a root scatter + gather) and computes the SDDMM
-driver-side.
+last epoch.
 
 With ``TsConfig.fuse_comm`` (default) the epoch's exchanges are **fused
 FusedMM-style**: the SDDMM ``Z``-row fetch, the symbolic mode lists and
@@ -73,11 +70,6 @@ class EmbeddingEpoch:
     remote_tiles: int
     local_tiles: int
     z_nnz: int
-    #: Driver-side traffic of this epoch (Z scatter / gradient gather);
-    #: zero on the resident path — the quantity the distributed SDDMM
-    #: eliminates, nonzero only under the ``driver_gather=True`` ablation.
-    driver_scatter_bytes: int = 0
-    driver_gather_bytes: int = 0
     #: All-to-all exchanges this epoch performed — the α·rounds term
     #: ``fuse_comm`` collapses (2-3 fused vs ``3 + 2·ceil(p/w)`` unfused).
     rounds: int = 0
@@ -244,7 +236,6 @@ def train_sparse_embedding(
     holdout_fraction: float = 0.1,
     learning_rate: Optional[float] = None,
     negative_refresh: int = 1,
-    driver_gather: bool = False,
     row_bounds: Optional[Tuple[int, ...]] = None,
 ) -> EmbeddingResult:
     """Train a sparse Force2Vec embedding of the graph ``adj``.
@@ -263,14 +254,10 @@ def train_sparse_embedding(
     ``Z``.  A redraw changes the pattern and triggers a full re-setup,
     equivalent to a fresh session.
 
-    By default the whole loop is SPMD-resident — ``Z`` is scattered once,
-    every epoch runs as one rank program (distributed SDDMM → TS-SpGEMM →
-    fused SGD/top-k epilogue) chaining rank-resident handles, and the
-    final embedding is gathered once: per-epoch ``driver_*_bytes`` are
-    exactly zero.  ``driver_gather=True`` ablates this: every epoch
-    scatters ``Z`` and gathers the gradient through the driver (charged,
-    like MS-BFS's ``driver_gather`` ablation) and computes the SDDMM
-    driver-side.  Both paths produce bit-identical embeddings.
+    The whole loop is SPMD-resident — ``Z`` is scattered once, every
+    epoch runs as one rank program (distributed SDDMM → TS-SpGEMM → fused
+    SGD/top-k epilogue) chaining rank-resident handles, and the final
+    embedding is gathered once: no epoch moves a byte through the driver.
 
     ``row_bounds`` pins the session's row partition to explicit block
     boundaries (forwarded to :class:`~repro.core.driver.TsSession`).
@@ -307,7 +294,7 @@ def train_sparse_embedding(
     lr = config.learning_rate if learning_rate is None else learning_rate
     batch = min(config.batch_size, max(n // max(p, 1), 1))
     # Tile height = mini-batch size (§IV-B); everything else — kernel,
-    # mode policy, plan reuse — is inherited from the caller's config.
+    # mode policy, fused rounds — is inherited from the caller's config.
     train_config = replace(config, tile_height=batch)
     session: Optional[TsSession] = None
 
@@ -337,63 +324,30 @@ def train_sparse_embedding(
             redraw = pattern is None or epoch % negative_refresh == 0
             if redraw:
                 pattern = draw_pattern()
-            if driver_gather:
-                # Ablation: the historical driver round-trip loop.  The
-                # SDDMM runs driver-side over the global dense Z, the
-                # refreshed coefficient matrix re-enters the session from
-                # the driver, and every epoch pays a charged Z scatter
-                # (scatter-B) and gradient gather (gather-C).
-                z_dense = z_sparse.to_dense()
-                coeff_vals = force2vec_coefficients(
-                    pattern, z_dense, z_dense, pattern.data
+            # One rank program per epoch, zero driver traffic.  The labels
+            # handle carries the ±1 pattern values the per-epoch
+            # coefficient map needs.
+            if session is None:
+                session = TsSession(
+                    pattern, p, semiring=PLUS_TIMES, config=train_config,
+                    machine=machine, row_bounds=row_bounds,
                 )
-                W = CsrMatrix(
-                    pattern.shape, pattern.indptr, pattern.indices,
-                    coeff_vals, check=False,
-                )
-                if session is None:
-                    session = TsSession(
-                        W, p, semiring=PLUS_TIMES, config=train_config,
-                        machine=machine, row_bounds=row_bounds,
-                    )
-                else:
-                    # values-only refresh between redraws; a redrawn
-                    # pattern is detected inside and triggers a full
-                    # re-setup
-                    session.update_operand(W)
-                mult = session.multiply(z_sparse, charge_driver=True)
-                grad = mult.C.to_dense()
-                # synchronous SGD step + re-sparsification (top-k per row)
-                z_sparse = row_topk(
-                    CsrMatrix.from_dense(z_dense - lr * grad), keep_per_row
-                )
-                z_nnz = z_sparse.nnz
-            else:
-                # Resident path: one rank program per epoch, zero driver
-                # traffic.  The labels handle carries the ±1 pattern
-                # values the per-epoch coefficient map needs.
-                if session is None:
-                    session = TsSession(
-                        pattern, p, semiring=PLUS_TIMES, config=train_config,
-                        machine=machine, row_bounds=row_bounds,
-                    )
-                    z_sp_h = session.scatter(z_sparse)
-                    z_dn_h = session.scatter_dense(z_sparse.to_dense())
-                    labels_h = session.scatter(pattern)
-                elif redraw:
-                    # spmdlint: disable=S11 -- rebinding and refresh are guarded by the same `redraw` flag, and update_operand detects a changed pattern and falls back to a full re-setup
-                    session.update_operand(pattern)
-                    labels_h = session.scatter(pattern)
-                mult = session.multiply(
-                    z_sp_h,
-                    gather=False,
-                    prologue=_sddmm_prologue,
-                    prologue_operands=(z_sp_h, z_dn_h, labels_h),
-                    epilogue=sgd_epilogue,
-                    epilogue_operands=(z_dn_h,),
-                )
-                z_sp_h, z_dn_h = mult.extra
-                z_nnz = z_sp_h.nnz
+                z_sp_h = session.scatter(z_sparse)
+                z_dn_h = session.scatter_dense(z_sparse.to_dense())
+                labels_h = session.scatter(pattern)
+            elif redraw:
+                # spmdlint: disable=S11 -- rebinding and refresh are guarded by the same `redraw` flag, and update_operand detects a changed pattern and falls back to a full re-setup
+                session.update_operand(pattern)
+                labels_h = session.scatter(pattern)
+            mult = session.multiply(
+                z_sp_h,
+                gather=False,
+                prologue=_sddmm_prologue,
+                prologue_operands=(z_sp_h, z_dn_h, labels_h),
+                epilogue=sgd_epilogue,
+                epilogue_operands=(z_dn_h,),
+            )
+            z_sp_h, z_dn_h = mult.extra
 
             diag = mult.diagnostics
             result.epochs.append(
@@ -403,11 +357,7 @@ def train_sparse_embedding(
                     comm_bytes=mult.comm_bytes(),
                     remote_tiles=int(diag.get("remote_tiles", 0)),
                     local_tiles=int(diag.get("local_tiles", 0)),
-                    z_nnz=z_nnz,
-                    driver_scatter_bytes=int(
-                        diag.get("driver_scatter_bytes", 0)
-                    ),
-                    driver_gather_bytes=int(diag.get("driver_gather_bytes", 0)),
+                    z_nnz=z_sp_h.nnz,
                     rounds=mult.rounds,
                     retries=int(diag.get("retries", 0)),
                     recoveries=int(diag.get("recoveries", 0)),

@@ -62,13 +62,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--reuse-plan",
-        default="on",
-        choices=("on", "off"),
-        help="amortize the B-independent symbolic+tiling plan across "
-        "iterative multiplies (off = re-plan every multiply, for ablation)",
-    )
-    parser.add_argument(
         "--fuse-comm",
         default="on",
         choices=("on", "off"),
@@ -132,7 +125,6 @@ def _config(args, **overrides) -> TsConfig:
     faults = getattr(args, "faults", "")
     fields = dict(
         kernel=getattr(args, "kernel", "auto"),
-        reuse_plan=args.reuse_plan == "on",
         fuse_comm=getattr(args, "fuse_comm", "on") == "on",
         sanitize=getattr(args, "sanitize", False),
         faults=faults,
@@ -214,7 +206,6 @@ def _cmd_bfs(args) -> int:
             algorithm=args.algorithm,
             config=_config(args),
             machine=machine,
-            driver_gather=args.driver_gather == "on",
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -225,7 +216,6 @@ def _cmd_bfs(args) -> int:
             it.frontier_nnz,
             it.comm_nnz,
             it.rounds,
-            fmt_bytes(it.driver_scatter_bytes + it.driver_gather_bytes),
             fmt_seconds(it.runtime),
         ]
         for it in result.iterations
@@ -233,7 +223,7 @@ def _cmd_bfs(args) -> int:
     print_table(
         f"MSBFS: {args.sources} sources on {args.dataset} (p={args.ranks}, "
         f"{result.levels} levels, total {fmt_seconds(result.total_runtime)})",
-        ["level", "frontier nnz", "comm nnz", "rounds", "driver bytes", "runtime"],
+        ["level", "frontier nnz", "comm nnz", "rounds", "runtime"],
         rows,
     )
     counts = result.reachable_counts()
@@ -256,7 +246,6 @@ def _cmd_embed(args) -> int:
         config=_config(args),
         negative_refresh=args.negative_refresh,
         machine=machine,
-        driver_gather=args.driver_gather == "on",
     )
     rows = [
         [
@@ -264,7 +253,6 @@ def _cmd_embed(args) -> int:
             fmt_seconds(e.runtime),
             fmt_bytes(e.comm_bytes),
             e.rounds,
-            fmt_bytes(e.driver_scatter_bytes + e.driver_gather_bytes),
             f"{e.remote_fraction:.0%}",
         ]
         for e in result.epochs
@@ -272,7 +260,7 @@ def _cmd_embed(args) -> int:
     print_table(
         f"Sparse embedding on {args.dataset} (d={args.d}, "
         f"{args.sparsity:.0%} sparse Z)",
-        ["epoch", "runtime", "comm", "rounds", "driver bytes", "remote tiles"],
+        ["epoch", "runtime", "comm", "rounds", "remote tiles"],
         rows,
     )
     print(f"\nlink-prediction accuracy: {result.accuracy:.3f}")
@@ -438,14 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel(p_bfs)
     p_bfs.add_argument("--sources", type=int, default=64)
     p_bfs.add_argument("--algorithm", default="TS-SpGEMM")
-    p_bfs.add_argument(
-        "--driver-gather",
-        default="off",
-        choices=("on", "off"),
-        help="round-trip every level's frontier/result through the driver "
-        "(charged B scatter + C gather) instead of chaining rank-resident "
-        "handles; ablation of the zero-driver-traffic default",
-    )
     p_bfs.set_defaults(func=_cmd_bfs)
 
     p_emb = sub.add_parser("embed", help="sparse embedding training")
@@ -462,15 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="epochs each negative-sample draw is kept; >1 freezes the "
         "coefficient pattern between draws so the resident session "
         "reuses its prepared plan (values still update every epoch)",
-    )
-    p_emb.add_argument(
-        "--driver-gather",
-        default="off",
-        choices=("on", "off"),
-        help="round-trip every epoch's Z and gradient through the driver "
-        "(charged scatter + gather, SDDMM computed driver-side) instead "
-        "of the rank-resident SDDMM chain; ablation of the "
-        "zero-driver-traffic default",
     )
     p_emb.set_defaults(func=_cmd_embed)
 

@@ -60,13 +60,6 @@ class TsConfig:
         ``*-rowwise`` references) or ``"auto"`` (the default): scipy's C
         fast path for arithmetic float data, the vectorized ESC kernel
         for every other semiring.
-    reuse_plan:
-        When ``True`` (default), iterative drivers (the resident MSBFS,
-        :class:`~repro.core.driver.TsSession`, embedding training) build
-        one :class:`~repro.core.plan.PreparedA` per distributed ``A`` and
-        amortize the B-independent symbolic + tiling work across
-        multiplies.  ``False`` re-plans every multiply from scratch — the
-        ablation behind the CLI's ``--reuse-plan on|off``.
     fuse_comm:
         When ``True`` (default), the tiled multiply issues **one fused
         all-to-all** per multiply step instead of separate exchanges for
@@ -137,7 +130,6 @@ class TsConfig:
     tile_height: Optional[int] = None
     mode_policy: str = "hybrid"
     kernel: str = "auto"
-    reuse_plan: bool = True
     fuse_comm: bool = True
     spa_threshold: int = 1024
     default_d: int = 128

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time as _time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -361,7 +361,7 @@ class _FusedPrologueShim:
     which case its plan must re-sync numeric block references) and
     ``refreshed_prepared`` names the :class:`~repro.core.plan.PreparedA`
     whose numeric state the refresh already reloaded (None when the
-    session runs without one, e.g. ``reuse_plan=False``).
+    refresh touched no prepared subtiles).
     """
 
     __slots__ = (
@@ -405,9 +405,9 @@ class TsSession(ResidentSession):
     fresh clocks and statistics, so every :class:`MultiplyResult` reports
     only that multiply's incremental cost — the accounting the
     per-iteration traces of Fig 12/13 need.  The constructor's task
-    distributes ``A``, builds ``Ac`` and (with ``config.reuse_plan``) the
-    per-rank :class:`~repro.core.plan.PreparedA`; its modelled cost is
-    recorded in ``setup_report``.
+    distributes ``A``, builds ``Ac`` and the per-rank
+    :class:`~repro.core.plan.PreparedA`; its modelled cost is recorded in
+    ``setup_report``.
 
     **Distributed handles.**  ``multiply`` accepts *and* produces
     rank-resident operands (:class:`~repro.partition.distmat.DistHandle`):
@@ -417,15 +417,8 @@ class TsSession(ResidentSession):
     >>> h = session.multiply(h, gather=False).C    # chains, zero driver I/O
     >>> C = h.gather()                             # explicit exit point
 
-    With ``multiply(..., charge_driver=True)`` — the accounting behind
-    MS-BFS's ``driver_gather=True`` ablation — a driver-resident ``B``
-    is charged as a root scatter (phase ``scatter-B``) and
-    ``gather=True`` charges the root gather of ``C`` (``gather-C``):
-    the real per-multiply driver round-trip the handle path eliminates,
-    surfaced as ``diagnostics['driver_scatter_bytes']`` /
-    ``['driver_gather_bytes']`` (both zero on a pure handle chain).  By
-    default the distribution stays free, matching :func:`ts_spgemm`'s
-    pre-distributed-input convention.
+    A driver-resident ``B`` is distributed for free, matching
+    :func:`ts_spgemm`'s pre-distributed-input convention.
 
     :meth:`update_operand` supports operands whose *values* drift while
     the pattern is stable (the embedding's coefficient matrix);
@@ -512,8 +505,8 @@ class TsSession(ResidentSession):
 
     #: Registry session-contract capability: this session accepts and
     #: mints rank-resident DistHandles (scatter / gather=False /
-    #: epilogue / charge_driver) — iterative drivers dispatch on this,
-    #: not on the concrete class.
+    #: epilogue) — iterative drivers dispatch on this, not on the
+    #: concrete class.
     supports_handles = True
 
     # ------------------------------------------------------------------
@@ -523,13 +516,11 @@ class TsSession(ResidentSession):
             # after a shrink (or under the ``row_bounds`` hook) the blocks
             # are contiguous but unbalanced.
             dist_a = DistSparseMatrix.scatter_rows(comm, A, rows=self._rows)
-            prepared = None
             if self.algorithm == "tiled":
                 dist_a.build_column_copy()
-                if self.config.reuse_plan:
-                    prepared = prepare_multiply(dist_a, self.config)
-                    prepared.ensure_strips(dist_a)
-            elif self.config.reuse_plan:
+                prepared = prepare_multiply(dist_a, self.config)
+                prepared.ensure_strips(dist_a)
+            else:
                 # Naive has no Ac; the prepared object just holds the
                 # request-round cache, filled on the first multiply.
                 prepared = PreparedA(
@@ -559,9 +550,12 @@ class TsSession(ResidentSession):
         the session instead of killing it; this loop restores the lost
         rank's resident state from the last checkpoint
         (:meth:`_recover`), sleeps a bounded exponential backoff, and
-        re-submits — up to ``config.max_retries`` times.  Reports of
-        failed attempts and recovery tasks are merged into the returned
-        result so aborted work is charged honestly.
+        re-submits — up to ``config.max_retries`` times.  Every rank that
+        failed in the attempt is restored; a permanently lost rank is
+        shrunk away first, and the others are then restored at their
+        renumbered ranks.  Reports of failed attempts and recovery tasks
+        are merged into the returned result so aborted work is charged
+        honestly.
         """
         if not self._recoverable:
             return self._exec.run(program)
@@ -578,10 +572,11 @@ class TsSession(ResidentSession):
                 if attempt > self.config.max_retries:
                     raise
                 self.retries += 1
-                self.recovery_events.append(failure)
+                self.recovery_events.extend(err.failures)
                 failed_report = getattr(err, "report", None)
                 if failed_report is not None:
                     extra_reports.append(failed_report)
+                dead = None
                 if failure.shrinkable:
                     # The rank is gone for good (permfail, or a crash
                     # past the respawn budget): migrate its state to a
@@ -591,16 +586,21 @@ class TsSession(ResidentSession):
                     # so the very same closure re-executes unchanged.
                     # Reports charged on the old world are projected to
                     # the survivors' view so they keep merging.
+                    dead = failure.rank
                     self.shrink_events.append(failure)
-                    recover_report = self.shrink(failure.rank)
+                    shrink_report = self.shrink(dead)
                     extra_reports = [
-                        project_report(r, failure.rank)
-                        for r in extra_reports
+                        project_report(r, dead) for r in extra_reports
                     ]
-                else:
-                    recover_report = self._recover(failure)
-                if recover_report is not None:
-                    extra_reports.append(recover_report)
+                    extra_reports.append(shrink_report)
+                for f in err.failures:
+                    if f.shrinkable:
+                        continue
+                    if dead is not None and f.rank > dead:
+                        f = replace(f, rank=f.rank - 1)
+                    recover_report = self._recover(f)
+                    if recover_report is not None:
+                        extra_reports.append(recover_report)
                 _time.sleep(
                     min(self.config.retry_backoff * 2 ** (attempt - 1), 1.0)
                 )
@@ -664,20 +664,19 @@ class TsSession(ResidentSession):
         col_copy_copy = None if col_copy is None else _copy_csr(col_copy)
         values: Dict[Tuple[int, int], np.ndarray] = {}
         strip_values = None
-        if prepared is not None:
-            for peer, subs in prepared.subtiles.items():
-                for i, ps in enumerate(subs):
-                    if ps.block is None:
-                        continue
-                    data = ps.block.data.copy()
-                    wire.append(data)
-                    if full:
-                        wire.append(ps.block.indptr)
-                        wire.append(ps.block.indices)
-                    values[(peer, i)] = data
-            if prepared.strips is not None:
-                strip_values = [s.data.copy() for s in prepared.strips.strips]
-                wire.extend(strip_values)
+        for peer, subs in prepared.subtiles.items():
+            for i, ps in enumerate(subs):
+                if ps.block is None:
+                    continue
+                data = ps.block.data.copy()
+                wire.append(data)
+                if full:
+                    wire.append(ps.block.indptr)
+                    wire.append(ps.block.indices)
+                values[(peer, i)] = data
+        if prepared.strips is not None:
+            strip_values = [s.data.copy() for s in prepared.strips.strips]
+            wire.extend(strip_values)
         return {
             "rows": rows,
             "local": local_copy,
@@ -822,24 +821,23 @@ class TsSession(ResidentSession):
             program, timeout=self._resilience_timeout(nbytes)
         )
         prepared = blob["prepared"]
-        if prepared is not None:
-            for (peer, i), data in blob["values"].items():
-                ps = prepared.subtiles[peer][i]
-                blk = ps.block
-                restored = CsrMatrix(
-                    blk.shape, blk.indptr, blk.indices, data.copy(), check=False
+        for (peer, i), data in blob["values"].items():
+            ps = prepared.subtiles[peer][i]
+            blk = ps.block
+            restored = CsrMatrix(
+                blk.shape, blk.indptr, blk.indices, data.copy(), check=False
+            )
+            ps.block = restored
+            if ps.block_bool is not None:
+                ps.block_bool = restored.astype(np.bool_)
+        if prepared.strips is not None and blob["strips"] is not None:
+            strips = prepared.strips
+            for j, data in enumerate(blob["strips"]):
+                s = strips.strips[j]
+                strips.strips[j] = CsrMatrix(
+                    s.shape, s.indptr, s.indices, data.copy(), check=False
                 )
-                ps.block = restored
-                if ps.block_bool is not None:
-                    ps.block_bool = restored.astype(np.bool_)
-            if prepared.strips is not None and blob["strips"] is not None:
-                strips = prepared.strips
-                for j, data in enumerate(blob["strips"]):
-                    s = strips.strips[j]
-                    strips.strips[j] = CsrMatrix(
-                        s.shape, s.indptr, s.indices, data.copy(), check=False
-                    )
-            prepared.spmm_cache = None  # numeric; rebuilt lazily
+        prepared.spmm_cache = None  # numeric; rebuilt lazily
         self._state[rank] = (
             blob["rows"],
             blob["local"],
@@ -996,13 +994,10 @@ class TsSession(ResidentSession):
                     comm.charge_touch(merge_touch)
                     if handle_nbytes and adopter_new == 0:
                         comm.charge_touch(handle_nbytes)
-                touched = 0
-                if prepared is not None:
-                    dist_a = DistSparseMatrix(comm, rows, local, ncols, col)
-                    touched = shrink_prepared(
-                        prepared, dist_a, dead_rank, adopter_old
-                    )
-                comm.charge_touch(touched)
+                dist_a = DistSparseMatrix(comm, rows, local, ncols, col)
+                comm.charge_touch(
+                    shrink_prepared(prepared, dist_a, dead_rank, adopter_old)
+                )
                 comm.barrier()
             return rows, local, col, prepared, aux
 
@@ -1045,8 +1040,7 @@ class TsSession(ResidentSession):
         The *entry point* of the handle lifecycle.  Like
         ``DistSparseMatrix.scatter_rows``, the initial distribution is
         free on the virtual clocks (pre-distributed input, the paper's
-        timing scope); it is the *per-multiply* re-scatter that
-        ``multiply`` charges and the handle chain avoids.
+        timing scope).
         """
         if B.nrows != self.ncols:
             raise ValueError(
@@ -1097,7 +1091,6 @@ class TsSession(ResidentSession):
         B: Union[CsrMatrix, np.ndarray, DistHandle, DistDenseHandle],
         *,
         gather: bool = True,
-        charge_driver: bool = False,
         prologue: Optional[Callable] = None,
         prologue_operands: Tuple = (),
         epilogue: Optional[Callable] = None,
@@ -1131,19 +1124,6 @@ class TsSession(ResidentSession):
         the multiply, one SPMD task per epoch, nothing through the
         driver.  State mutated by the prologue stays resident for later
         multiplies.
-
-        ``charge_driver=True`` charges the per-multiply driver
-        round-trip on the virtual clocks — the B root scatter
-        (``scatter-B`` phase) and, with ``gather=True``, the C root
-        gather (``gather-C``) — and surfaces the moved bytes as
-        ``diagnostics['driver_scatter_bytes'] / ['driver_gather_bytes']``.
-        This is the explicit ablation knob behind MS-BFS's
-        ``driver_gather=True``: it models the O(n·d) per-iteration
-        traffic a loop pays when it round-trips operands through the
-        driver instead of chaining handles.  The default ``False`` keeps
-        the paper's pre-distributed-input convention, the same (free)
-        accounting as the per-call :func:`ts_spgemm` path, so
-        plan-reuse ablations compare like with like.
 
         ``epilogue`` fuses a rank-local post-processing step into the
         same rank program — ``epilogue(comm, c_local, *operand_blocks)``
@@ -1223,21 +1203,11 @@ class TsSession(ResidentSession):
                     comm, rows, b_dense_handle.blocks[comm.rank], b_ncols
                 )
             elif dense_b:
-                dist_b = DistDenseMatrix.scatter_rows(
-                    comm, B, charge_comm=charge_driver, phase="scatter-B",
-                    rows=rows,
-                )
+                dist_b = DistDenseMatrix.scatter_rows(comm, B, rows=rows)
             else:
-                # B lives on the driver.  Under the ablation accounting
-                # the root slices and scatters it and the α–β cost lands
-                # on the clocks — the per-level traffic the paper's
-                # resident loop (Alg 3) never pays; by default the
-                # distribution is free, like every other driver entry
-                # point (pre-distributed input convention).
-                dist_b = DistSparseMatrix.scatter_rows(
-                    comm, B, charge_comm=charge_driver, phase="scatter-B",
-                    rows=rows,
-                )
+                # B lives on the driver: free, like every other driver
+                # entry point (pre-distributed input convention).
+                dist_b = DistSparseMatrix.scatter_rows(comm, B, rows=rows)
             if dense_b:
                 dist_c, diag = spmm_multiply(
                     dist_a, dist_b, self.config, prepared=prepared
@@ -1264,9 +1234,6 @@ class TsSession(ResidentSession):
                     dist_c.local,
                     *[h.blocks[comm.rank] for h in epilogue_operands],
                 )
-            if gather and charge_driver:
-                with comm.phase("gather-C"):
-                    comm.gather(dist_c.local, root=0)
             new_state = None
             if prologue is not None:
                 # The prologue may have refreshed the resident values;
@@ -1293,9 +1260,6 @@ class TsSession(ResidentSession):
             diagnostics["retries"] = self.retries - retries_before
             diagnostics["recoveries"] = self.recoveries - recoveries_before
             diagnostics["shrinks"] = self.shrinks - shrinks_before
-        per_phase = report.phase_bytes()
-        diagnostics["driver_scatter_bytes"] = per_phase.get("scatter-B", 0)
-        diagnostics["driver_gather_bytes"] = per_phase.get("gather-C", 0)
         blocks = [v[0] for v in result.values]
         if dense_b:
             c_out: Any = (
@@ -1473,7 +1437,7 @@ class TsSession(ResidentSession):
                 ]
                 col_ids_mat = _vstack_tagged(tagged, n, c1 - c0)
                 col_data = col_ids_mat.data.astype(np.int64, copy=False)
-                if prepared is not None and prepared.subtiles:
+                if prepared.subtiles:
                     sub_ids = {}
                     for peer, subs in prepared.subtiles.items():
                         lo_p, hi_p = ranges[peer]
@@ -1573,61 +1537,55 @@ class TsSession(ResidentSession):
                         _revalued(col_copy, col_ids), keep[col_ids]
                     )
                     touched += new_col.nbytes_estimate()
-                new_prepared = None
-                if prepared is not None:
-                    new_prepared = PreparedA(
-                        config=config, rank=rank, size=comm.size
+                new_prepared = PreparedA(
+                    config=config, rank=rank, size=comm.size
+                )
+                if self.algorithm == "tiled" and sub_ids is not None:
+                    new_prepared.row_tile_ranges = list(
+                        prepared.row_tile_ranges
                     )
-                    if self.algorithm == "tiled" and sub_ids is not None:
-                        new_prepared.row_tile_ranges = list(
-                            prepared.row_tile_ranges
-                        )
-                        for peer, subs in prepared.subtiles.items():
-                            new_subs = []
-                            for ps, ids in zip(subs, sub_ids[peer]):
-                                blk = (
-                                    None
-                                    if ps.block is None
-                                    else mask_entries(
-                                        _revalued(ps.block, ids), keep[ids]
+                    for peer, subs in prepared.subtiles.items():
+                        new_subs = []
+                        for ps, ids in zip(subs, sub_ids[peer]):
+                            blk = (
+                                None
+                                if ps.block is None
+                                else mask_entries(
+                                    _revalued(ps.block, ids), keep[ids]
+                                )
+                            )
+                            if blk is None or blk.nnz == 0:
+                                new_subs.append(
+                                    PreparedSubtile(
+                                        ps.peer, ps.row_tile, ps.row_range,
+                                        None, None, None,
                                     )
                                 )
-                                if blk is None or blk.nnz == 0:
-                                    new_subs.append(
-                                        PreparedSubtile(
-                                            ps.peer, ps.row_tile, ps.row_range,
-                                            None, None, None,
-                                        )
+                                continue
+                            touched += blk.nbytes_estimate()
+                            if ps.peer == rank:
+                                new_subs.append(
+                                    PreparedSubtile(
+                                        ps.peer, ps.row_tile, ps.row_range,
+                                        blk, None, None,
                                     )
-                                    continue
-                                touched += blk.nbytes_estimate()
-                                if ps.peer == rank:
-                                    new_subs.append(
-                                        PreparedSubtile(
-                                            ps.peer, ps.row_tile, ps.row_range,
-                                            blk, None, None,
-                                        )
+                                )
+                            else:
+                                # bool cast + nonzero-column rescan:
+                                # same 2x streaming charge as
+                                # prepare_multiply's off-diagonal path
+                                touched += 2 * blk.nbytes_estimate()
+                                new_subs.append(
+                                    PreparedSubtile(
+                                        ps.peer, ps.row_tile, ps.row_range,
+                                        blk,
+                                        blk.astype(np.bool_),
+                                        blk.nonzero_columns(),
                                     )
-                                else:
-                                    # bool cast + nonzero-column rescan:
-                                    # same 2x streaming charge as
-                                    # prepare_multiply's off-diagonal path
-                                    touched += 2 * blk.nbytes_estimate()
-                                    new_subs.append(
-                                        PreparedSubtile(
-                                            ps.peer, ps.row_tile, ps.row_range,
-                                            blk,
-                                            blk.astype(np.bool_),
-                                            blk.nonzero_columns(),
-                                        )
-                                    )
-                            new_prepared.subtiles[peer] = new_subs
+                                )
+                        new_prepared.subtiles[peer] = new_subs
                 comm.charge_touch(touched)
-                if (
-                    new_prepared is not None
-                    and new_prepared.subtiles
-                    and config.mode_policy != "hybrid"
-                ):
+                if new_prepared.subtiles and config.mode_policy != "hybrid":
                     # Masking can empty a subtile, so the static mode
                     # table must be re-exchanged for the subset.
                     outgoing = [
@@ -1638,9 +1596,9 @@ class TsSession(ResidentSession):
                         for peer in range(comm.size)
                     ]
                     # The guard above is rank-invariant in practice:
-                    # prepared-ness is decided collectively at session
-                    # construction and ``config.mode_policy`` is
-                    # config-wide, so every rank takes the same side.
+                    # subtiles exist iff the session's algorithm is tiled
+                    # and ``config.mode_policy`` is config-wide, so every
+                    # rank takes the same side.
                     with comm.phase("symbolic"):
                         incoming = comm.alltoall(outgoing)  # spmdlint: disable=S1 -- guard is rank-invariant (see comment above); every rank reaches this alltoall together
                     new_prepared.static_consumed_modes = dict(

@@ -45,7 +45,7 @@ class CollectivesMixin:
     """Collective algorithms; mixed into ``SimComm``.
 
     Relies on the host class providing ``rank``, ``size``, ``_ctx``,
-    ``machine``, ``_clock``, ``_stats`` and ``_charge_comm_until``.
+    ``machine``, ``_clock``, ``_stats`` and ``_advance_comm_until``.
     """
 
     # The host class defines these; listed for readability.
@@ -56,7 +56,7 @@ class CollectivesMixin:
     def _sync_exit(self, entries: Sequence[float], my_cost: float) -> None:
         """Advance this rank's clock to ``max(entries) + my_cost``."""
         t0 = max(entries)
-        self._charge_comm_until(t0 + my_cost)
+        self._advance_comm_until(t0 + my_cost)
 
     def barrier(self) -> None:
         """Synchronize all ranks of this communicator."""

@@ -108,7 +108,7 @@ class SimComm(CollectivesMixin):
             self._check_rank(source, "source")
         msg = self._ctx.mailboxes[self.rank].get(source, tag)
         self._stats.record_recv(msg.nbytes)
-        self._charge_comm_until(msg.available_at)
+        self._advance_comm_until(msg.available_at)
         return msg.payload
 
     def sendrecv(
@@ -164,7 +164,7 @@ class SimComm(CollectivesMixin):
     # ------------------------------------------------------------------
     # internals shared with CollectivesMixin
     # ------------------------------------------------------------------
-    def _charge_comm_until(self, t: float) -> None:
+    def _advance_comm_until(self, t: float) -> None:
         dt = t - self._clock.now
         if dt > 0:
             self._clock.advance_comm(dt)

@@ -45,6 +45,7 @@ from .errors import (
     InjectedPermanentFault,
     RankError,
     SanitizerError,
+    ShrinkRefusedError,
     SpmdAbort,
 )
 from .faults import (
@@ -90,7 +91,7 @@ class _SpmdTask:
     Owns the per-task runtime state: a fresh abort controller and group
     context (communicators must not leak between tasks), fresh clocks and
     statistics (so the task's report is incremental), the result slots and
-    the first-error record.
+    every rank's error record.
     """
 
     def __init__(self, size: int, fn: Callable, args: tuple, kwargs: dict,
@@ -114,7 +115,9 @@ class _SpmdTask:
         #: Ranks whose worker thread must exit after this task — an
         #: injected crash simulates process death, not just a task error.
         self.worker_exit = [False] * size
-        self.error: Optional[Tuple[int, BaseException]] = None
+        #: ``(rank, exception)`` of every rank whose program raised (not
+        #: collateral aborts), in the order the ranks reported.
+        self.errors: List[Tuple[int, BaseException]] = []
         self.cond = threading.Condition()
         self.done = 0
 
@@ -130,9 +133,16 @@ class _SpmdTask:
         except BaseException as exc:  # noqa: BLE001 - must catch everything
             if isinstance(exc, InjectedCrashFault):
                 self.worker_exit[rank] = True
+            if is_recoverable_failure(exc):
+                # An environment fault is recorded, not debugged, and the
+                # record outlives this task.  Its traceback would keep
+                # this thread's frames, and through them this task and
+                # the failed attempt's operands, in a cycle only a full
+                # gc pass frees; the failure's rank and phase say where
+                # it struck.
+                exc.__traceback__ = None
             with self.cond:
-                if self.error is None:
-                    self.error = (rank, exc)
+                self.errors.append((rank, exc))
             self.abort.abort()
         finally:
             if self.sanitizer is not None:
@@ -398,52 +408,15 @@ class SpmdSession:
                     while task.done < self.size and _time.monotonic() < grace:
                         task.cond.wait(0.5)
 
-            if task.error is not None:
-                rank, exc = task.error
+            if task.errors:
+                rank, exc = task.errors[0]
                 if isinstance(exc, SanitizerError):
                     # A cross-rank structured finding, not one rank's bug:
                     # surface it directly instead of wrapping in RankError.
                     self._kill(f"sanitizer: {type(exc).__name__}: {exc}")
                     raise exc
                 if self.recoverable and is_recoverable_failure(exc):
-                    # Environment fault in a recoverable session: degrade
-                    # instead of die.  Crashed workers are respawned on
-                    # the same queues; the caller restores state from its
-                    # checkpoints and retries.  Two losses are *not*
-                    # respawned — a permanent fault, and a crash past the
-                    # respawn budget: those are classified shrinkable and
-                    # the caller must migrate state to a p-1 world.
-                    budget_spent = (
-                        self.respawn_budget is not None
-                        and self.respawns >= self.respawn_budget
-                    )
-                    shrinkable = task.worker_exit[rank] and (
-                        isinstance(exc, InjectedPermanentFault) or budget_spent
-                    )
-                    failure = RankFailure(
-                        task=self._tasks_run - 1,
-                        rank=rank,
-                        kind=failure_kind(exc),
-                        error=exc,
-                        phase=task.stats[rank].current_phase,
-                        shrinkable=shrinkable,
-                    )
-                    self.failures.append(failure)
-                    self.degraded = True
-                    for r in range(self.size):
-                        if not task.worker_exit[r]:
-                            continue
-                        if shrinkable and r == rank:
-                            self._pending_dead = rank
-                            continue
-                        self._threads[r] = self._spawn_worker(r)
-                        self.respawns += 1
-                    err = RankError(rank, exc)
-                    err.failure = failure
-                    # Partial report of the failed attempt: the retry
-                    # loop merges it so aborted work is still charged.
-                    err.report = task.report()
-                    raise err from exc
+                    self._degrade(task)
                 self._kill(
                     f"rank {rank} raised {type(exc).__name__}: {exc}"
                 )
@@ -471,6 +444,76 @@ class SpmdSession:
                 check_byte_conservation(task.stats)
             self.degraded = False
             return SpmdResult(list(task.results), task.report())
+
+    def _degrade(self, task: _SpmdTask) -> None:
+        """Record every rank's environment fault in ``task`` and raise.
+
+        A recoverable session degrades instead of dying.  Each failed
+        rank gets a :class:`RankFailure`, in rank order, so the outcome
+        never depends on which rank's thread reported first.  Crashed
+        workers are respawned on the same queues; the caller restores
+        state from its checkpoints and retries.  Two losses are *not*
+        respawned — a permanent fault, and a crash past the respawn
+        budget: those are *shrinkable*, and the caller must migrate state
+        to a p-1 world.  A shrink removes one rank, so a task that loses
+        more than one rank for good kills the session with a
+        :class:`~repro.mpi.errors.ShrinkRefusedError` naming them all.
+        Otherwise raises :class:`RankError` for the shrinkable failure
+        (else the lowest failed rank), carrying ``failure``, every
+        record as ``failures`` and the failed attempt's partial
+        ``report``, which the retry loop merges so aborted work is still
+        charged.
+        """
+        failures: List[RankFailure] = []
+        respawns = self.respawns
+        for rank, exc in sorted(task.errors, key=lambda e: e[0]):
+            if not is_recoverable_failure(exc):
+                continue
+            exited = task.worker_exit[rank]
+            budget_spent = (
+                self.respawn_budget is not None
+                and respawns >= self.respawn_budget
+            )
+            shrinkable = exited and (
+                isinstance(exc, InjectedPermanentFault) or budget_spent
+            )
+            if exited and not shrinkable:
+                respawns += 1
+            failures.append(
+                RankFailure(
+                    task=self._tasks_run - 1,
+                    rank=rank,
+                    kind=failure_kind(exc),
+                    error=exc,
+                    phase=task.stats[rank].current_phase,
+                    shrinkable=shrinkable,
+                )
+            )
+        self.failures.extend(failures)
+        lost = [f.rank for f in failures if f.shrinkable]
+        if len(lost) > 1:
+            reason = (
+                f"ranks {lost} permanently lost in task {self._tasks_run - 1}; "
+                "a shrink removes one rank at a time"
+            )
+            self._kill(reason)
+            raise ShrinkRefusedError(f"cannot shrink: {reason}", ranks=lost)
+        self.degraded = True
+        for f in failures:
+            if f.shrinkable:
+                self._pending_dead = f.rank
+            elif task.worker_exit[f.rank]:
+                self._threads[f.rank] = self._spawn_worker(f.rank)
+                self.respawns += 1
+        primary = next((f for f in failures if f.shrinkable), failures[0])
+        err = RankError(primary.rank, primary.error)
+        err.failure = primary
+        err.failures = failures
+        err.report = task.report()
+        try:
+            raise err from primary.error
+        finally:
+            del err  # its traceback holds this frame: no err <-> frame cycle
 
     def shrink(self, dead_rank: int) -> None:
         """Remove ``dead_rank`` from the world: continue at ``size - 1``.

@@ -323,6 +323,8 @@ class RankFailure:
     task: int
     rank: int
     kind: str
+    #: The fault itself, kept without its traceback: the record outlives
+    #: the task, and the traceback's frames would pin the task's state.
     error: BaseException = field(compare=False)
     phase: Optional[str] = None
     #: The failed rank will not come back: its worker was not respawned

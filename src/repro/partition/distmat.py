@@ -9,9 +9,9 @@ through a genuine all-to-all of column strips so its cost shows up on the
 virtual clocks as a setup phase.
 
 Initial distribution (``scatter_rows``) follows the common practice — also
-the paper's — of not timing data loading: with ``charge_comm=False``
-(default) each rank simply slices the shared input, modelling a matrix
-already resident across the machine (e.g. read from a parallel FS).
+the paper's — of not timing data loading: each rank simply slices the
+shared input, modelling a matrix already resident across the machine
+(e.g. read from a parallel FS).
 """
 
 from __future__ import annotations
@@ -84,15 +84,11 @@ class DistSparseMatrix:
         comm: SimComm,
         global_mat: CsrMatrix,
         *,
-        charge_comm: bool = False,
-        phase: str = "scatter-input",
         rows: Optional[Block1D] = None,
     ) -> "DistSparseMatrix":
         """Distribute ``global_mat`` row-block-wise onto ``comm``.
 
-        With ``charge_comm=True`` the distribution is performed as a root
-        scatter and its α–β cost lands on the clocks, under ``phase``; by
-        default it is free (pre-distributed input, matching the paper's
+        Free on the clocks (pre-distributed input, matching the paper's
         timing scope).  ``rows`` overrides the balanced default partition
         — operands must follow the session's row map after an elastic
         shrink left it unbalanced.
@@ -105,27 +101,12 @@ class DistSparseMatrix:
                 f"has {global_mat.nrows} rows on {comm.size} ranks"
             )
         lo, hi = rows.range_of(comm.rank)
-        block = extract_row_range(global_mat, lo, hi)
-        if charge_comm:
-            with comm.phase(phase):
-                blocks = None
-                if comm.rank == 0:
-                    blocks = [
-                        extract_row_range(global_mat, a, b) for a, b in rows.ranges
-                    ]
-                block = comm.scatter(blocks, root=0)
-        return cls(comm, rows, block, global_mat.ncols)
+        return cls(comm, rows, extract_row_range(global_mat, lo, hi), global_mat.ncols)
 
-    def gather(self, root: int = 0, *, charge_comm: bool = False) -> Optional[CsrMatrix]:
+    def gather(self, root: int = 0) -> Optional[CsrMatrix]:
         """Collect the full matrix on ``root`` (None on other ranks)."""
-        if charge_comm:
-            with self.comm.phase("gather-output"):
-                blocks = self.comm.gather(self.local, root=root)
-        else:
-            blocks = self.comm.allgather(self.local)
-            if self.comm.rank != root:
-                return None
-        if blocks is None:
+        blocks = self.comm.allgather(self.local)
+        if self.comm.rank != root:
             return None
         return _vstack_blocks(blocks, self.ncols)
 
@@ -298,17 +279,13 @@ class DistDenseMatrix:
         comm: SimComm,
         global_mat: np.ndarray,
         *,
-        charge_comm: bool = False,
-        phase: str = "scatter-input",
         rows: Optional[Block1D] = None,
     ) -> "DistDenseMatrix":
         """Distribute ``global_mat`` row-block-wise onto ``comm``.
 
-        Mirrors :meth:`DistSparseMatrix.scatter_rows`: free by default
-        (pre-distributed input); with ``charge_comm=True`` performed as a
-        charged root scatter under ``phase`` — the per-multiply driver
-        round-trip accounting of the dense-operand ablation.  ``rows``
-        overrides the balanced default partition (post-shrink operands).
+        Mirrors :meth:`DistSparseMatrix.scatter_rows`: free on the clocks
+        (pre-distributed input).  ``rows`` overrides the balanced default
+        partition (post-shrink operands).
         """
         global_mat = np.asarray(global_mat)
         if rows is None:
@@ -319,14 +296,7 @@ class DistDenseMatrix:
                 f"has {global_mat.shape[0]} rows on {comm.size} ranks"
             )
         lo, hi = rows.range_of(comm.rank)
-        block = global_mat[lo:hi]
-        if charge_comm:
-            with comm.phase(phase):
-                blocks = None
-                if comm.rank == 0:
-                    blocks = [global_mat[a:b] for a, b in rows.ranges]
-                block = comm.scatter(blocks, root=0)
-        return cls(comm, rows, block, global_mat.shape[1])
+        return cls(comm, rows, global_mat[lo:hi], global_mat.shape[1])
 
     def gather(self) -> np.ndarray:
         blocks = self.comm.allgather(self.local)

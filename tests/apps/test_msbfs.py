@@ -4,9 +4,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.apps import msbfs, reference_reachability
+from repro.apps import msbfs, msbfs_on_session, reference_reachability
+from repro.baselines import ALGORITHMS, make_session
 from repro.data import erdos_renyi, random_sources, rmat
-from repro.sparse import CsrMatrix, from_edges
+from repro.sparse import BOOL_AND_OR, CsrMatrix, from_edges
 
 
 def nx_reachability(adj: CsrMatrix, sources) -> set:
@@ -96,13 +97,86 @@ class TestCorrectness:
             msbfs(CsrMatrix.empty((3, 4)), np.array([0]), 2)
 
 
+#: Every registry name: each enters the one MS-BFS loop through a
+#: different door (handle-capable TS sessions, the SUMMA sessions, the
+#: session-less PETSc-1D per-call path).
+ALGORITHM_NAMES = ["TS-SpGEMM", "TS-SpGEMM-Naive", "SUMMA-2D", "SUMMA-3D", "PETSc-1D"]
+
+
 class TestAlgorithmChoices:
-    @pytest.mark.parametrize("algorithm", ["TS-SpGEMM", "SUMMA-2D", "PETSc-1D"])
+    def test_every_registry_name_covered(self):
+        assert sorted(ALGORITHMS) == sorted(ALGORITHM_NAMES)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
     def test_same_reachability_all_algorithms(self, algorithm):
         adj = erdos_renyi(48, 3, seed=7)
         sources = random_sources(48, 4, seed=4)
         result = msbfs(adj, sources, 4, algorithm=algorithm)
         assert visited_set(result.visited) == nx_reachability(adj, sources)
+        ref = reference_reachability(adj.astype(np.bool_), sources)
+        assert result.visited.equal(ref)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    def test_max_levels_all_algorithms(self, algorithm):
+        adj = from_edges([0, 1, 2, 3], [1, 2, 3, 4], 5, symmetric=True)
+        result = msbfs(adj, np.array([0]), 4, algorithm=algorithm, max_levels=2)
+        assert result.levels == 2
+        assert [it.frontier_nnz for it in result.iterations] == [1, 1]
+        assert result.reachable_counts()[0] == 3  # 0,1,2
+
+    def test_on_session_needs_handle_capable_session(self):
+        adj = erdos_renyi(48, 3, seed=7)
+        with make_session(
+            "SUMMA-2D", adj.astype(np.bool_), 4, semiring=BOOL_AND_OR
+        ) as session:
+            with pytest.raises(ValueError, match="handle-capable"):
+                msbfs_on_session(session, np.array([0]))
+
+
+def reference_levels(adj: CsrMatrix, sources) -> list:
+    """Level-synchronous Alg 3 on dense boolean arrays: the
+    ``(frontier_nnz, discovered_nnz)`` of every level."""
+    n, d = adj.nrows, len(sources)
+    a = np.zeros((n, n), dtype=np.int64)
+    a[adj.row_ids(), adj.indices] = 1
+    frontier = np.zeros((n, d), dtype=bool)
+    frontier[np.asarray(sources), np.arange(d)] = True
+    visited = frontier.copy()
+    levels = []
+    while frontier.any():
+        reached = (a @ frontier.astype(np.int64)) > 0
+        discovered = reached & ~visited
+        visited |= reached
+        levels.append((int(frontier.sum()), int(discovered.sum())))
+        frontier = discovered
+    return levels
+
+
+def level_sizes(result) -> list:
+    return [(it.frontier_nnz, it.discovered_nnz) for it in result.iterations]
+
+
+class TestLevelSteps:
+    """The loop's two level steps — the rank-local epilogue on handle
+    sessions and the driver-side update on the baselines — must agree
+    level by level, not just in the final visited set."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    def test_per_level_frontiers_match_reference(self, algorithm):
+        adj = rmat(128, 6, seed=22)
+        sources = random_sources(128, 8, seed=3)
+        result = msbfs(adj, sources, 4, algorithm=algorithm)
+        assert level_sizes(result) == reference_levels(adj, sources)
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_handle_and_driver_steps_agree(self, p):
+        adj = erdos_renyi(60, 4, seed=21)
+        sources = random_sources(60, 6, seed=2)
+        resident = msbfs(adj, sources, p, algorithm="TS-SpGEMM")
+        driver = msbfs(adj, sources, p, algorithm="PETSc-1D")
+        assert resident.visited.equal(driver.visited)
+        assert level_sizes(resident) == level_sizes(driver)
+        assert level_sizes(resident) == reference_levels(adj, sources)
 
 
 class TestIterationStats:

@@ -3,28 +3,30 @@
 The contract of the handle path (:class:`repro.partition.DistHandle` +
 ``TsSession.multiply(..., gather=False)``): a chain of multiplies whose
 intermediates never leave the ranks must be **bit-identical** to the
-driver-gather path — for any semiring, kernel and mode policy — while
-moving exactly zero bytes through the driver per multiply.  The registry
-MS-BFS rides this path end-to-end (scatter-once → resident chain →
-one final gather), so the same guarantees are asserted on whole
-traversals against the ``driver_gather=True`` ablation and the serial
-reference.
+same chain through driver-resident operands — for any semiring, kernel
+and mode policy — while moving exactly zero bytes through the driver per
+multiply.  The registry MS-BFS rides this path end-to-end (scatter-once →
+resident chain → one final gather); counting spies pin that shape
+exactly, and whole traversals are checked against the serial reference.
 """
 
 import numpy as np
 import pytest
 
-from repro.apps import msbfs, reference_reachability
-from repro.apps.msbfs import msbfs_spmd
+from repro.apps import msbfs, msbfs_on_session, reference_reachability
+from repro.baselines import make_session
 from repro.core import TsConfig, TsSession, ts_spgemm
-from repro.data import erdos_renyi, random_sources, rmat
+from repro.data import bfs_frontier, erdos_renyi, random_sources, rmat
 from repro.partition import DistHandle
 from repro.sparse import (
     BOOL_AND_OR,
     MIN_PLUS,
     PLUS_TIMES,
     CsrMatrix,
+    ewise_add,
     mask_entries,
+    pattern_difference,
+    spgemm,
 )
 from ..conftest import csr_from_dense, random_dense
 
@@ -94,57 +96,29 @@ class TestHandleChaining:
 
 
 class TestDriverTraffic:
-    """The point of the PR: handles move zero bytes through the driver."""
-
-    def test_handle_multiply_reports_zero_driver_bytes(self, rng):
-        a = csr_from_dense(random_dense(rng, N, N, 0.2))
-        b = csr_from_dense(random_dense(rng, N, D, 0.4))
-        with TsSession(a, P) as session:
-            mult = session.multiply(session.scatter(b), gather=False)
-            assert mult.diagnostics["driver_scatter_bytes"] == 0
-            assert mult.diagnostics["driver_gather_bytes"] == 0
-            phases = mult.report.phase_bytes()
-            assert "scatter-B" not in phases
-            assert "gather-C" not in phases
-
-    def test_charge_driver_ablation_charges_round_trip(self, rng):
-        """With charge_driver=True a plain CsrMatrix operand pays the
-        per-multiply root scatter and gather=True the root gather — the
-        driver_gather ablation's cost."""
-        a = csr_from_dense(random_dense(rng, N, N, 0.2))
-        b = csr_from_dense(random_dense(rng, N, D, 0.4))
-        with TsSession(a, P) as session:
-            mult = session.multiply(b, gather=True, charge_driver=True)
-            assert mult.diagnostics["driver_scatter_bytes"] > 0
-            assert mult.diagnostics["driver_gather_bytes"] > 0
+    """Handles change where operands live, never what the multiply moves."""
 
     def test_default_accounting_matches_per_call_path(self, rng):
-        """Without the ablation knob, a session multiply charges exactly
-        like the per-call ts_spgemm path (pre-distributed convention) —
-        so reuse_plan ablations compare like with like."""
+        """A session multiply of a driver-resident operand charges exactly
+        like the per-call ts_spgemm path (pre-distributed convention)."""
         a = csr_from_dense(random_dense(rng, N, N, 0.2))
         b = csr_from_dense(random_dense(rng, N, D, 0.4))
         with TsSession(a, P) as session:
             mult = session.multiply(b, gather=True)
-            assert mult.diagnostics["driver_scatter_bytes"] == 0
-            assert mult.diagnostics["driver_gather_bytes"] == 0
             fresh = ts_spgemm(a, b, P)
             assert mult.comm_bytes() == fresh.comm_bytes()
             assert bitwise_equal(mult.C, fresh.C)
 
     def test_multiply_traffic_identical_across_paths(self, rng):
-        """Stripping the driver round-trip is *all* the handle path
-        changes: the multiply's own wire traffic stays byte-identical."""
+        """Handle operand or driver operand, the multiply's per-phase wire
+        traffic is byte-identical: no phase is added for either."""
         a = csr_from_dense(random_dense(rng, N, N, 0.2))
         b = csr_from_dense(random_dense(rng, N, D, 0.4))
         with TsSession(a, P) as session:
             via_handle = session.multiply(session.scatter(b), gather=False)
-            via_driver = session.multiply(b, gather=True, charge_driver=True)
-        driver_overhead = (
-            via_driver.diagnostics["driver_scatter_bytes"]
-            + via_driver.diagnostics["driver_gather_bytes"]
-        )
-        assert via_driver.comm_bytes() - driver_overhead == via_handle.comm_bytes()
+            via_driver = session.multiply(b, gather=True)
+        assert via_handle.report.phase_bytes() == via_driver.report.phase_bytes()
+        assert bitwise_equal(via_handle.C.gather(), via_driver.C)
 
 
 class TestHandleSemantics:
@@ -209,90 +183,143 @@ class TestHandleSemantics:
             session.multiply(h)
 
 
+class _HandleSpy:
+    """Counts the handle lifecycle calls one traversal makes: session
+    scatters, handle gathers, and the operand type of every multiply."""
+
+    def __init__(self, monkeypatch):
+        self.scatters = 0
+        self.gathers = 0
+        self.operands = []
+        scatter, multiply, gather = (
+            TsSession.scatter, TsSession.multiply, DistHandle.gather
+        )
+
+        def count_scatter(session, B):
+            self.scatters += 1
+            return scatter(session, B)
+
+        def record_multiply(session, B, **kwargs):
+            self.operands.append(B)
+            return multiply(session, B, **kwargs)
+
+        def count_gather(handle):
+            self.gathers += 1
+            return gather(handle)
+
+        monkeypatch.setattr(TsSession, "scatter", count_scatter)
+        monkeypatch.setattr(TsSession, "multiply", record_multiply)
+        monkeypatch.setattr(DistHandle, "gather", count_gather)
+
+
+def serial_frontiers(adj, sources):
+    """Every level's entering frontier, from the serial Alg 3 recurrence."""
+    a_bool = adj.astype(np.bool_)
+    frontier = visited = bfs_frontier(adj.nrows, sources)
+    frontiers = []
+    while frontier.nnz > 0:
+        frontiers.append(frontier)
+        reached, _ = spgemm(a_bool, frontier, BOOL_AND_OR)
+        frontier = pattern_difference(reached, visited)
+        visited = ewise_add(visited, reached, BOOL_AND_OR)
+    return frontiers
+
+
 class TestMsbfsOnHandles:
-    """The registry MS-BFS path rides handles end-to-end by default."""
+    """The registry MS-BFS path rides handles end-to-end."""
 
     @pytest.mark.parametrize("policy", ["hybrid", "local", "remote"])
     @pytest.mark.parametrize("kernel", ["auto", "esc-vectorized", "hash", "spa"])
-    def test_bit_identical_visited_vs_driver_gather(self, policy, kernel):
+    def test_bit_identical_visited_vs_reference(self, policy, kernel):
         adj = rmat(128, 6, seed=7)
         sources = random_sources(128, 8, seed=3)
         config = TsConfig(mode_policy=policy, kernel=kernel)
         resident = msbfs(adj, sources, P, config=config)
-        gathered = msbfs(adj, sources, P, config=config, driver_gather=True)
-        assert bitwise_equal(resident.visited, gathered.visited)
-        assert resident.levels == gathered.levels
         ref = reference_reachability(adj.astype(np.bool_), sources)
         assert bitwise_equal(resident.visited, ref)
+        assert resident.levels == len(serial_frontiers(adj, sources))
 
-    def test_naive_session_rides_handles_too(self):
-        adj = erdos_renyi(64, 4, seed=9)
-        sources = random_sources(64, 5, seed=1)
-        resident = msbfs(adj, sources, P, algorithm="TS-SpGEMM-Naive")
-        gathered = msbfs(
-            adj, sources, P, algorithm="TS-SpGEMM-Naive", driver_gather=True
-        )
-        assert bitwise_equal(resident.visited, gathered.visited)
-
-    def test_per_level_driver_bytes_zero_on_handle_path(self):
+    @pytest.mark.parametrize("algorithm", ["TS-SpGEMM", "TS-SpGEMM-Naive"])
+    def test_scatter_once_gather_once_handles_every_level(
+        self, monkeypatch, algorithm
+    ):
+        """Exactly one frontier scatter and one visited gather per
+        traversal, and every level multiplies a rank-resident handle:
+        zero driver bytes per level, by construction."""
         adj = rmat(128, 6, seed=8)
         sources = random_sources(128, 8, seed=4)
-        resident = msbfs(adj, sources, P)
-        gathered = msbfs(adj, sources, P, driver_gather=True)
-        for it in resident.iterations:
-            assert it.driver_scatter_bytes == 0
-            assert it.driver_gather_bytes == 0
-        assert all(
-            it.driver_scatter_bytes > 0 and it.driver_gather_bytes > 0
-            for it in gathered.iterations
-        )
+        spy = _HandleSpy(monkeypatch)
+        result = msbfs(adj, sources, P, algorithm=algorithm)
+        assert result.levels >= 3
+        assert spy.scatters == 1
+        assert spy.gathers == 1
+        assert len(spy.operands) == result.levels
+        assert all(isinstance(b, DistHandle) for b in spy.operands)
+        ref = reference_reachability(adj.astype(np.bool_), sources)
+        assert bitwise_equal(result.visited, ref)
 
-    def test_per_level_comm_matches_spmd_reference(self):
-        """The handle path's per-level trace still decomposes exactly like
-        the single-program msbfs_spmd reference (the Fig 12 invariant)."""
+    def test_on_session_entry_counts_the_same(self, monkeypatch):
         adj = erdos_renyi(80, 4, seed=5)
         sources = random_sources(80, 6, seed=6)
-        resident = msbfs(adj, sources, P)
-        spmd = msbfs_spmd(adj, sources, P)
-        assert resident.levels == spmd.levels
-        for got, want in zip(resident.iterations, spmd.iterations):
-            assert got.comm_bytes == want.comm_bytes
-            assert got.frontier_nnz == want.frontier_nnz
+        with TsSession(adj.astype(np.bool_), P, semiring=BOOL_AND_OR) as session:
+            spy = _HandleSpy(monkeypatch)
+            reports = []
+            result = msbfs_on_session(session, sources, reports=reports)
+        assert (spy.scatters, spy.gathers) == (1, 1)
+        assert len(spy.operands) == len(reports) == result.levels
+        assert all(isinstance(b, DistHandle) for b in spy.operands)
+        ref = reference_reachability(adj.astype(np.bool_), sources)
+        assert bitwise_equal(result.visited, ref)
 
-    def test_driver_gather_without_capable_session_rejected(self):
-        """The ablation needs a handle-capable session to ablate; a
-        silent no-op (zero driver bytes reported for a path that never
-        measured them) would mislead."""
-        adj = erdos_renyi(48, 3, seed=6)
-        sources = random_sources(48, 4, seed=1)
-        with pytest.raises(ValueError, match="handle-capable"):
-            msbfs(
-                adj, sources, P, driver_gather=True,
-                config=TsConfig(reuse_plan=False),
-            )
-        with pytest.raises(ValueError, match="handle-capable"):
-            msbfs(adj, sources, 4, algorithm="SUMMA-2D", driver_gather=True)
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_per_level_comm_matches_standalone_multiply(self, fuse):
+        """Each level's trace is exactly one multiply's: comm bytes and
+        rounds equal a standalone ``session.multiply`` of that level's
+        frontier (the fused frontier update moves nothing)."""
+        adj = erdos_renyi(80, 4, seed=5)
+        sources = random_sources(80, 6, seed=6)
+        config = TsConfig(fuse_comm=fuse)
+        resident = msbfs(adj, sources, P, config=config)
+        frontiers = serial_frontiers(adj, sources)
+        assert resident.levels == len(frontiers) >= 3
+        assert sum(it.comm_bytes for it in resident.iterations) > 0
+        with TsSession(
+            adj.astype(np.bool_), P, semiring=BOOL_AND_OR, config=config
+        ) as session:
+            for it, frontier in zip(resident.iterations, frontiers):
+                alone = session.multiply(frontier)
+                assert it.frontier_nnz == frontier.nnz
+                assert it.comm_bytes == alone.comm_bytes()
+                assert it.rounds == alone.rounds
+                assert it.comm_time > 0
 
-    def test_modelled_time_improves_vs_driver_gather(self):
-        adj = rmat(256, 8, seed=10)
-        sources = random_sources(256, 16, seed=2)
-        resident = msbfs(adj, sources, P)
-        gathered = msbfs(adj, sources, P, driver_gather=True)
-        assert resident.total_runtime < gathered.total_runtime
+    def test_levels_after_setup_charge_zero_prepare(self):
+        """The plan is prepared once, in the session's setup task; no
+        level pays ``prepare`` compute again."""
+        adj = rmat(256, 8, seed=12)
+        sources = random_sources(256, 16, seed=3)
+        with make_session(
+            "TS-SpGEMM", adj.astype(np.bool_), P, semiring=BOOL_AND_OR
+        ) as session:
+            setup = session.setup_report
+            assert max(
+                rs.phases["prepare"].compute_time for rs in setup.rank_stats
+            ) > 0
+            reports = []
+            result = msbfs_on_session(session, sources, reports=reports)
+        assert result.levels == len(reports) >= 3
+        for report in reports:
+            for rs in report.rank_stats:
+                assert "prepare" not in rs.phases
 
     def test_summa_session_like_for_like(self):
-        """Fig 12(d)'s baseline now amortizes its setup through a
-        resident session as well — results unchanged."""
+        """Fig 12(d)'s baseline amortizes its setup through a resident
+        session as well and runs the same loop, without handles."""
         adj = erdos_renyi(48, 3, seed=7)
         sources = random_sources(48, 4, seed=4)
         result = msbfs(adj, sources, 4, algorithm="SUMMA-2D")
         ref = reference_reachability(adj.astype(np.bool_), sources)
         assert bitwise_equal(result.visited, ref)
-        off = msbfs(
-            adj, sources, 4, algorithm="SUMMA-2D",
-            config=TsConfig(reuse_plan=False),
-        )
-        assert bitwise_equal(result.visited, off.visited)
 
 
 class TestDerivedEdgeSubsetSessions:
@@ -343,17 +370,30 @@ class TestDerivedEdgeSubsetSessions:
             with pytest.raises(ValueError, match="stored edges"):
                 base.derive_edge_subset(np.ones(a.nnz + 1, dtype=bool))
 
-    def test_influence_reuse_plan_ablation_identical(self):
+    def test_influence_samples_match_fresh_msbfs(self, monkeypatch):
+        """Every derived per-sample session reaches exactly what a fresh
+        msbfs on the masked matrix reaches."""
+        import repro.apps.influence as influence
         from repro.apps import influence_maximization
 
         adj = rmat(96, 6, seed=15)
-        on = influence_maximization(
-            adj, k=2, p=2, probability=0.3, samples=3, seed=4,
-            config=TsConfig(reuse_plan=True),
+        probability, seed = 0.3, 4
+        traversals = []
+        real_msbfs = influence.msbfs
+
+        def recording_msbfs(A, sources, p, **kwargs):
+            out = real_msbfs(A, sources, p, **kwargs)
+            traversals.append((np.array(sources), out.visited))
+            return out
+
+        monkeypatch.setattr(influence, "msbfs", recording_msbfs)
+        result = influence_maximization(
+            adj, k=2, p=2, probability=probability, samples=3, seed=seed
         )
-        off = influence_maximization(
-            adj, k=2, p=2, probability=0.3, samples=3, seed=4,
-            config=TsConfig(reuse_plan=False),
-        )
-        assert on.seeds == off.seeds
-        assert on.spread_estimates == pytest.approx(off.spread_estimates)
+        assert len(traversals) == result.samples == 3
+        for r, (sources, visited) in enumerate(traversals):
+            keep = influence.sample_keep_mask(
+                adj, probability, influence.sample_rng(seed, r)
+            )
+            fresh = real_msbfs(mask_entries(adj, keep), sources, 2)
+            assert bitwise_equal(visited, fresh.visited), r

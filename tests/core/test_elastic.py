@@ -241,6 +241,69 @@ class TestRespawnBudget:
             session.close()
 
 
+class TestSeveralFailuresInOneTask:
+    """Every rank failure of a task is recorded, in rank order; none is
+    dropped, and a permanently lost rank is never respawned."""
+
+    TWO_PERMFAILS = "permfail@1,task=2,seq=0;permfail@2,task=2,seq=0"
+
+    def test_two_permfails_refuse_deterministically(self):
+        """A shrink removes one rank, so losing two for good in one task
+        is refused — on every run, naming both ranks, respawning
+        neither (the outcome must not depend on thread timing)."""
+        for _ in range(20):
+            session = TsSession(
+                _graph(), P, config=_recoverable(faults=self.TWO_PERMFAILS)
+            )
+            try:
+                with pytest.raises(ShrinkRefusedError) as info:
+                    session.multiply(_graph())
+                assert info.value.ranks == (1, 2)
+                assert [
+                    (f.rank, f.kind, f.shrinkable)
+                    for f in session._exec.failures
+                ] == [(1, "permfail", True), (2, "permfail", True)]
+                assert session._exec.respawns == 0
+                assert (session.p, session.shrinks) == (P, 0)
+                with pytest.raises(DeadSessionError, match="permanently lost"):
+                    session.multiply(_graph())
+            finally:
+                session.close()
+
+    def test_two_crashes_both_recovered(self):
+        config = _recoverable(faults="crash@1,task=2,seq=0;crash@3,task=2,seq=0")
+        session = TsSession(_A(), P, config=config)
+        reference = TsSession(_A(), P)
+        try:
+            result = session.multiply(_operand())
+            assert bitwise_equal(reference.multiply(_operand()).C, result.C)
+            assert [f.rank for f in session.recovery_events] == [1, 3]
+            assert (session.retries, session.recoveries) == (1, 2)
+            assert session._exec.respawns == 2
+            assert result.diagnostics["recoveries"] == 2
+        finally:
+            session.close()
+            reference.close()
+
+    def test_permfail_and_crash_shrink_then_recover(self):
+        """The permanent loss shrinks the world; the crashed rank is then
+        restored at its renumbered rank (3 → 2)."""
+        config = _recoverable(
+            faults="permfail@1,task=2,seq=0;crash@3,task=2,seq=0"
+        )
+        session = TsSession(_A(), P, config=config)
+        reference = TsSession(_A(), P - 1, row_bounds=MERGED_BOUNDS)
+        try:
+            result = session.multiply(_operand())
+            assert (session.p, session.shrinks, session.recoveries) == (P - 1, 1, 1)
+            assert [f.rank for f in session.shrink_events] == [1]
+            assert session._exec.respawns == 1
+            assert bitwise_equal(reference.multiply(_operand()).C, result.C)
+        finally:
+            session.close()
+            reference.close()
+
+
 # ----------------------------------------------------------------------
 # session-level mechanics
 # ----------------------------------------------------------------------

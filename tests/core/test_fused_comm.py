@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.apps import msbfs, train_sparse_embedding
-from repro.apps.msbfs import msbfs_spmd
 from repro.core import (
     FUSED_SECTION_PHASES,
     TsConfig,
@@ -222,19 +221,6 @@ class TestFusedSessions:
                 outs[cfg.fuse_comm] = h.gather()
         assert bitwise_equal(outs[True], outs[False])
 
-    def test_fresh_plan_ablation_also_fuses(self, rng):
-        """reuse_plan=False still rides the fused exchange (throwaway
-        prepared): outputs bit-identical, rounds still collapse."""
-        a = csr_from_dense(random_dense(rng, N, N, 0.2))
-        b = csr_from_dense(random_dense(rng, N, D, 0.5))
-        on, off = config_pair(reuse_plan=False, tile_width_factor=1)
-        with TsSession(a, P, config=on) as s_on, TsSession(
-            a, P, config=off
-        ) as s_off:
-            m_on, m_off = s_on.multiply(b), s_off.multiply(b)
-            assert bitwise_equal(m_on.C, m_off.C)
-            assert m_on.rounds < m_off.rounds
-
 
 # ----------------------------------------------------------------------
 # apps: MS-BFS and the SDDMM-fused embedding epoch
@@ -256,15 +242,8 @@ class TestFusedApps:
         assert bitwise_equal(r_on.visited, r_off.visited)
         assert all(it.rounds == 1 for it in r_on.iterations)
         assert all(it.rounds == 1 + 2 * P for it in r_off.iterations)
-        # the resident SPMD loop rides the same fused schedule: per-level
-        # traces must agree byte-for-byte and round-for-round
-        spmd = msbfs_spmd(a, sources, P, config=on)
-        assert bitwise_equal(spmd.visited, r_on.visited)
-        assert [it.comm_bytes for it in spmd.iterations] == [
-            it.comm_bytes for it in r_on.iterations
-        ]
-        assert [it.rounds for it in spmd.iterations] == [
-            it.rounds for it in r_on.iterations
+        assert [it.comm_bytes for it in r_on.iterations] == [
+            it.comm_bytes for it in r_off.iterations
         ]
 
     @pytest.mark.parametrize("policy", ["hybrid", "local", "remote"])
@@ -284,7 +263,6 @@ class TestFusedApps:
         for e_on, e_off in zip(r_on.epochs, r_off.epochs):
             assert e_on.comm_bytes == e_off.comm_bytes
             assert e_on.rounds < e_off.rounds
-            assert e_on.driver_scatter_bytes == e_on.driver_gather_bytes == 0
 
     def test_embedding_epoch_round_budget(self, rng):
         """The fused epoch is 2-3 exchanges — the SDDMM fetch rides the
@@ -300,14 +278,6 @@ class TestFusedApps:
             assert e_on.rounds <= 3
             assert e_off.rounds == 3 + 2 * P
             assert e_off.rounds >= 2 * e_on.rounds
-
-    def test_embedding_driver_gather_matches_fused(self, rng):
-        adj = _symmetric_graph(rng, N, 0.12)
-        on, _ = config_pair(tile_width_factor=2, tile_height=8)
-        kwargs = dict(d=8, sparsity=0.5, epochs=3, seed=9, config=on)
-        resident = train_sparse_embedding(adj, P, **kwargs)
-        ablated = train_sparse_embedding(adj, P, driver_gather=True, **kwargs)
-        assert bitwise_equal(resident.Z, ablated.Z)
 
 
 # ----------------------------------------------------------------------

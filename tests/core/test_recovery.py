@@ -13,6 +13,9 @@ first multiply is task 2 (0 = setup, 1 = setup-checkpoint); with
 fused multiply has exactly one collective probe per rank (``seq=0``).
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -240,6 +243,30 @@ class TestSessionRecovery:
                 session.multiply(_operand(seed=8))
         finally:
             session.close()
+
+    @pytest.mark.parametrize("kind", ["crash", "transient"])
+    def test_recovered_session_freed_by_refcount(self, kind):
+        """A recovered fault leaves no reference cycle behind.  Failure
+        records keep no traceback (whose frames would pin the task and the
+        failed attempt's operands), and a closed session is freed as soon
+        as the caller drops it, not whenever a full gc pass happens to run."""
+        session = TsSession(
+            _A(), P, config=_recoverable(faults=f"{kind}@1,task=2,seq=0")
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            session.multiply(_operand(seed=8))
+            assert session.retries == 1
+            assert all(
+                f.error.__traceback__ is None for f in session.recovery_events
+            )
+            session.close()
+            ref = weakref.ref(session)
+            del session
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_diagnostics_only_on_recoverable_sessions(self):
         B = _operand(seed=8)

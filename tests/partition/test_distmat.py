@@ -41,15 +41,6 @@ class TestScatterGather:
             assert nrows == hi - lo
             assert nnz == (dense[lo:hi] != 0).sum()
 
-    def test_charged_scatter_records_bytes(self, rng):
-        mat = make_square(rng)
-
-        def program(comm, mat):
-            DistSparseMatrix.scatter_rows(comm, mat, charge_comm=True)
-
-        report = run_spmd(4, program, mat).report
-        assert report.phase_bytes().get("scatter-input", 0) > 0
-
     def test_nnz_global(self, rng):
         mat = make_square(rng)
 

@@ -84,13 +84,12 @@ class TestCommands:
         assert "influence maximization" in out
         assert "seed vertex" in out
 
-    def test_bfs_kernel_and_reuse_flags(self, capsys):
-        """--kernel is threaded through bfs (not just multiply), and
-        --reuse-plan off selects the fresh-plan ablation path."""
+    def test_bfs_kernel_flag(self, capsys):
+        """--kernel is threaded through bfs (not just multiply)."""
         rc = main(
             [
                 "bfs", "--dataset", "cora", "--scale", "0.3", "--sources", "4",
-                "-p", "2", "--kernel", "spa", "--reuse-plan", "off",
+                "-p", "2", "--kernel", "spa",
             ]
         )
         assert rc == 0
@@ -107,23 +106,23 @@ class TestCommands:
         assert rc == 0
         assert "link-prediction accuracy" in capsys.readouterr().out
 
-    def test_embed_driver_gather_ablation(self, capsys):
-        rc = main(
-            [
-                "embed", "--dataset", "cora", "--scale", "0.2", "-p", "2",
-                "--d", "8", "--epochs", "2", "--driver-gather", "on",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "driver bytes" in out
-        assert "link-prediction accuracy" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bfs", "--driver-gather", "on"],
+            ["embed", "--driver-gather", "on"],
+            ["bfs", "--reuse-plan", "off"],
+        ],
+    )
+    def test_retired_ablation_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bfs_and_embed_accept_kernel_choices(self):
         for cmd in ("bfs", "embed"):
             args = build_parser().parse_args([cmd, "--kernel", "hash"])
             assert args.kernel == "hash"
-            assert args.reuse_plan == "on"
 
     def test_model_runs(self, capsys):
         rc = main(["model", "--ps", "8,64"])
